@@ -71,13 +71,11 @@ inline sim::SimConfig base_sim(const Options& opt, sim::Tech tech,
 /// Real-runtime deployment over the key-value store.
 inline smr::DeploymentConfig real_kv_config(smr::Mode mode, std::size_t mpl,
                                             std::uint64_t keys,
-                                            std::size_t exec_run_length = 16,
-                                            bool coalesce_responses = true) {
+                                            std::size_t exec_run_length = 16) {
   smr::DeploymentConfig cfg;
   cfg.mode = mode;
   cfg.mpl = mpl;
   cfg.replicas = 2;
-  cfg.coalesce_responses = coalesce_responses;
   cfg.ring.batch_timeout = std::chrono::microseconds(500);
   cfg.ring.skip_interval = std::chrono::microseconds(1500);
   cfg.ring.rto = std::chrono::microseconds(10000);
@@ -112,11 +110,9 @@ inline sim::SimResult run_real_kv(const Options& opt, sim::Tech tech,
                                   bool zipf = false,
                                   std::size_t exec_run_length = 16,
                                   workload::RunResult* raw = nullptr,
-                                  bool coalesce_responses = true,
                                   smr::SpoolStats* spool = nullptr) {
   auto dcfg = real_kv_config(to_mode(tech), static_cast<std::size_t>(workers),
-                             /*keys=*/200'000, exec_run_length,
-                             coalesce_responses);
+                             /*keys=*/200'000, exec_run_length);
   smr::Deployment d(std::move(dcfg));
   d.start();
   workload::KvWorkloadSpec spec;

@@ -16,11 +16,11 @@
 // comparison with ExecStats.  The pipeline ratio is the end-to-end
 // acceptance number recorded in sim/calibration.h (ExecCalibration).
 //
-// The same flag also measures the response-path record (PR: batched reply
-// coalescing): the full sP-SMR deployment at window 50 with reply
-// coalescing on vs off — Kcps, responses per wire message, flush-reason
-// counts and latency percentiles — written to BENCH_response.json next to
-// the main JSON and pinned in sim/calibration.h (ResponseCalibration).
+// The same flag also writes the response-path record: the full sP-SMR
+// deployment at window 50 with reply coalescing — Kcps, responses per wire
+// message, flush-reason counts, submit-spool counters and latency
+// percentiles — to BENCH_response.json next to the main JSON
+// (ResponseCalibration in sim/calibration.h pins the figures).
 #include <atomic>
 #include <thread>
 
@@ -137,26 +137,13 @@ void write_json(const Options& opt) {
   // workload driver itself; the hot-path-only number is bench_micro_codec's.
   util::allochook::AllocWindow alloc_on;
   run_real_kv(opt, sim::Tech::kSpsmr, 2, workload::KvMix{100, 0, 0, 0},
-              /*zipf=*/false, /*exec_run_length=*/16, &real_batched,
-              /*coalesce_responses=*/true, &spool);
+              /*zipf=*/false, /*exec_run_length=*/16, &real_batched, &spool);
   const double allocs_per_cmd_on =
       real_batched.completed > 0
           ? static_cast<double>(alloc_on.count()) /
                 static_cast<double>(real_batched.completed)
           : 0;
-
-  // Response-path record: the same batched deployment (window 50) with
-  // reply coalescing forced off.  real_batched is the coalescing-on leg.
-  std::fprintf(stderr, "fig3: measuring response path (coalescing off)...\n");
-  workload::RunResult resp_off;
-  util::allochook::AllocWindow alloc_off;
-  run_real_kv(opt, sim::Tech::kSpsmr, 2, workload::KvMix{100, 0, 0, 0},
-              /*zipf=*/false, /*exec_run_length=*/16, &resp_off,
-              /*coalesce_responses=*/false);
-  const double allocs_per_cmd_off =
-      resp_off.completed > 0 ? static_cast<double>(alloc_off.count()) /
-                                   static_cast<double>(resp_off.completed)
-                             : 0;
+  // Response-path record: the batched deployment leg (window 50).
   const workload::RunResult& resp_on = real_batched;
 
   std::FILE* f = std::fopen(opt.json.c_str(), "w");
@@ -197,24 +184,16 @@ void write_json(const Options& opt) {
     std::fprintf(stderr, "fig3: cannot open %s\n", resp_path.c_str());
     return;
   }
-  const double resp_ratio =
-      resp_off.kcps > 0 ? resp_on.kcps / resp_off.kcps : 0;
   std::fprintf(rf, "{\n  \"bench\": \"fig3_response_batching\",\n");
   std::fprintf(rf, "  \"deployment_spsmr\": {\n");
   std::fprintf(rf, "    \"window\": 50,\n");
-  std::fprintf(rf, "    \"uncoalesced_kcps\": %.1f,\n", resp_off.kcps);
   std::fprintf(rf, "    \"coalesced_kcps\": %.1f,\n", resp_on.kcps);
-  std::fprintf(rf, "    \"coalesced_vs_uncoalesced\": %.3f,\n", resp_ratio);
   std::fprintf(rf, "    \"responses_per_message\": %.2f,\n",
                resp_on.response.mean_responses_per_message());
-  std::fprintf(rf, "    \"uncoalesced_responses_per_message\": %.2f,\n",
-               resp_off.response.mean_responses_per_message());
   std::fprintf(rf, "    \"alloc_hook_active\": %s,\n",
                util::allochook::kAllocHookActive ? "true" : "false");
   std::fprintf(rf, "    \"coalesced_allocs_per_cmd\": %.2f,\n",
                allocs_per_cmd_on);
-  std::fprintf(rf, "    \"uncoalesced_allocs_per_cmd\": %.2f,\n",
-               allocs_per_cmd_off);
   std::fprintf(rf,
                "    \"spool\": {\"spooled_commands\": %llu, \"flushes\": "
                "%llu, \"mean_commands_per_flush\": %.2f, "
@@ -231,8 +210,7 @@ void write_json(const Options& opt) {
                static_cast<unsigned long long>(resp_on.response.flush_bytes),
                static_cast<unsigned long long>(
                    resp_on.response.flush_timeout));
-  print_latency(rf, resp_on, ",", "coalesced_latency_us");
-  print_latency(rf, resp_off, "", "uncoalesced_latency_us");
+  print_latency(rf, resp_on, "", "coalesced_latency_us");
   std::fprintf(rf, "  }\n}\n");
   std::fclose(rf);
 
@@ -241,11 +219,8 @@ void write_json(const Options& opt) {
                "cmds/batch); wrote %s\n",
                seq.kcps, batched.kcps, ratio,
                batched.exec.mean_commands_per_batch(), opt.json.c_str());
-  std::fprintf(stderr,
-               "fig3: responses %.1f -> %.1f Kcps (%.2fx, %.1f resp/msg); "
-               "wrote %s\n",
-               resp_off.kcps, resp_on.kcps, resp_ratio,
-               resp_on.response.mean_responses_per_message(),
+  std::fprintf(stderr, "fig3: responses %.1f Kcps (%.1f resp/msg); wrote %s\n",
+               resp_on.kcps, resp_on.response.mean_responses_per_message(),
                resp_path.c_str());
 }
 

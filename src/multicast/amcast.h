@@ -14,9 +14,7 @@
 // streams interleave deterministically (merge.h).
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -35,81 +33,6 @@ struct BusConfig {
   /// (num_groups > 1), because deterministic merge needs idle rings to
   /// keep deciding SKIPs.
   paxos::RingConfig ring;
-  /// Submit-side coalescing: concurrent multicasts to the same ring are
-  /// combined into one SUBMIT_MANY wire message (see SubmitCoalescer).
-  /// Matters most for the shared g_all ring, where clients of *all* k
-  /// groups converge — their commands piggyback onto the in-flight submit
-  /// instead of each opening a fresh one.
-  bool coalesce_submits = true;
-};
-
-/// Flat-combining submit funnel for one ring.
-///
-/// The first caller into an idle coalescer becomes the flusher: it drains
-/// the queue through Ring::submit_many until empty, while concurrent
-/// callers just append their command and return — the active flusher
-/// carries it on its next flush.  Every command is on the wire before the
-/// flusher's call returns, so no timer thread is needed and nothing can be
-/// stranded.  Under contention this turns n near-simultaneous multicasts
-/// into a handful of multi-command submits, which the coordinator appends
-/// to its open batch as one burst.
-class SubmitCoalescer {
- public:
-  explicit SubmitCoalescer(paxos::Ring& ring) : ring_(ring) {}
-
-  /// Enqueues and (unless piggybacking on an active flusher) flushes.
-  ///
-  /// A piggybacking caller returns true optimistically: its command is
-  /// sent by the active flusher an instant later, and only the flusher
-  /// observes that send's result.  Submission to a ring is fire-and-forget
-  /// over a droppable transport anyway — delivery is recovered end-to-end
-  /// (ClientProxy retransmits on response timeout) — so `true` means
-  /// "accepted for submission", exactly as it does for a send that is then
-  /// dropped in transit.  Flush failures stay observable through
-  /// Stats::failed_flush_commands.
-  bool submit(transport::NodeId from, util::Payload message);
-
-  struct Stats {
-    /// SUBMIT/SUBMIT_MANY wire messages sent.
-    std::uint64_t flushes = 0;
-    /// Commands carried by those messages.
-    std::uint64_t flushed_commands = 0;
-    /// Commands handed to an already-active flusher instead of sending.
-    std::uint64_t piggybacked = 0;
-    /// Commands in flushes the transport rejected (shutdown/disconnect);
-    /// their submitters may have been told true — see submit().
-    std::uint64_t failed_flush_commands = 0;
-
-    Stats& operator+=(const Stats& o) {
-      flushes += o.flushes;
-      flushed_commands += o.flushed_commands;
-      piggybacked += o.piggybacked;
-      failed_flush_commands += o.failed_flush_commands;
-      return *this;
-    }
-  };
-  [[nodiscard]] Stats stats() const {
-    std::lock_guard lock(mu_);
-    return stats_;
-  }
-
-  /// Test hook: invoked by the active flusher after each wire send, while
-  /// the coalescer lock is released.  Lets a test rendezvous a concurrent
-  /// submit with an in-progress flush deterministically (the piggyback race
-  /// is otherwise timing-dependent on single-core hosts).  Set before any
-  /// concurrent submits start; pass {} to clear.
-  void set_flush_pause(std::function<void()> hook) {
-    std::lock_guard lock(mu_);
-    flush_pause_ = std::move(hook);
-  }
-
- private:
-  paxos::Ring& ring_;
-  mutable std::mutex mu_;
-  std::vector<util::Payload> queue_;
-  bool flushing_ = false;
-  Stats stats_;
-  std::function<void()> flush_pause_;
 };
 
 /// One atomic-multicast domain shared by clients and replicas.
@@ -145,8 +68,7 @@ class Bus {
   }
 
   /// Submits a pre-encoded SUBMIT_MANY frame carrying `count` commands to
-  /// ring `ring_index`, bypassing the per-command coalescer round-trip (the
-  /// spooler already grouped the burst).
+  /// ring `ring_index` (the client-side submit spooler's burst).
   bool submit_encoded(std::size_t ring_index, transport::NodeId from,
                       util::Payload frame, std::size_t count);
 
@@ -180,23 +102,13 @@ class Bus {
   [[nodiscard]] paxos::CoordinatorStats shared_ring_stats() const;
   /// Aggregate over every ring (workers + shared).
   [[nodiscard]] paxos::CoordinatorStats total_stats() const;
-  /// Aggregate submit-coalescing counters (zeros when coalescing is off).
-  [[nodiscard]] SubmitCoalescer::Stats coalesce_stats() const;
 
   /// Test hook: the ring carrying singleton traffic for group g.
   [[nodiscard]] paxos::Ring& group_ring(GroupId g) { return *rings_.at(g); }
   /// Test hook: the shared ring (requires has_shared_ring()).
   [[nodiscard]] paxos::Ring& shared_ring() { return *shared_ring_; }
-  /// Test hook: the shared g_all ring's coalescer (nullptr when coalescing
-  /// is disabled or no shared ring exists).
-  [[nodiscard]] SubmitCoalescer* shared_coalescer() {
-    if (!shared_ring_ || coalescers_.empty()) return nullptr;
-    return coalescers_.back().get();
-  }
 
  private:
-  bool submit_to(std::size_t ring_index, transport::NodeId from,
-                 util::Payload message);
   [[nodiscard]] paxos::Ring& ring_at(std::size_t ring_index) {
     return ring_index < rings_.size() ? *rings_[ring_index] : *shared_ring_;
   }
@@ -205,10 +117,6 @@ class Bus {
   BusConfig cfg_;
   std::vector<std::unique_ptr<paxos::Ring>> rings_;
   std::unique_ptr<paxos::Ring> shared_ring_;
-  /// One coalescer per ring, index-aligned with rings_; the shared ring's
-  /// coalescer (when present) is the last entry.  Empty when coalescing is
-  /// disabled.
-  std::vector<std::unique_ptr<SubmitCoalescer>> coalescers_;
 };
 
 }  // namespace psmr::multicast

@@ -59,7 +59,7 @@ void Coordinator::handle(transport::Message msg) {
         on_submit(std::move(msg.payload));
         break;
       case MsgType::kPaxosSubmitMany:
-        on_submit_many(msg.payload);
+        on_submit_frame(msg.payload);
         break;
       case MsgType::kPaxosPromise:
         on_promise(msg.from, r);
@@ -105,7 +105,7 @@ void Coordinator::on_submit(util::Payload cmd) {
   pump_proposals();
 }
 
-void Coordinator::on_submit_many(const util::Payload& payload) {
+void Coordinator::on_submit_frame(const util::Payload& payload) {
   util::Reader r(payload);
   std::uint32_t n = r.u32();
   {

@@ -154,7 +154,7 @@ class Coordinator : public transport::Endpoint {
   void on_submit(util::Payload cmd);
   /// Parses a SUBMIT_MANY frame; each command enqueued is a zero-copy
   /// subview of the frame's pool block.
-  void on_submit_many(const util::Payload& payload);
+  void on_submit_frame(const util::Payload& payload);
   void on_promise(transport::NodeId from, util::Reader& r);
   void on_accepted(transport::NodeId from, util::Reader& r);
   void on_nack(util::Reader& r);

@@ -61,19 +61,6 @@ bool Ring::submit(transport::NodeId from, util::Payload command) {
                    std::move(command));
 }
 
-bool Ring::submit_many(transport::NodeId from,
-                       std::vector<util::Payload> commands) {
-  if (commands.empty()) return true;
-  if (commands.size() == 1) return submit(from, std::move(commands.front()));
-  std::size_t total = 4;
-  for (const auto& c : commands) total += 4 + c.size();
-  util::PayloadWriter w(total);
-  w.u32(static_cast<std::uint32_t>(commands.size()));
-  for (const auto& c : commands) w.bytes(c);
-  return net_.send(from, coordinator(), transport::MsgType::kPaxosSubmitMany,
-                   w.take());
-}
-
 bool Ring::submit_encoded(transport::NodeId from, util::Payload frame,
                           std::size_t count) {
   if (count == 0) return true;

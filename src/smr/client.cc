@@ -7,11 +7,11 @@ namespace psmr::smr {
 
 ClientProxy::ClientProxy(transport::Network& net, multicast::Bus& bus,
                          std::shared_ptr<const CGFunction> cg, ClientId id,
-                         std::shared_ptr<AdmissionController> admission,
-                         SubmitSpooler* spooler)
+                         SubmitSpooler& spooler,
+                         std::shared_ptr<AdmissionController> admission)
     : net_(net),
       bus_(&bus),
-      spooler_(spooler),
+      spooler_(&spooler),
       cg_(std::move(cg)),
       admission_(std::move(admission)),
       id_(id) {
@@ -64,13 +64,13 @@ std::optional<Seq> ClientProxy::submit(CommandId cmd, util::Buffer params) {
       return seq;
     }
   }
-  // Spooled path: marshal straight into the shared pooled SUBMIT_MANY
-  // frame — no per-command encode, no per-command bus round-trip.  Falls
-  // back to per-command dispatch when spooling is off or in direct mode.
-  // The mailbox check keeps the no-wedge contract under shutdown: a spooled
-  // command's transport rejection only surfaces at flush time, so refuse
-  // up front once our own mailbox (closed by Network::shutdown) is dead.
-  const bool accepted = (spooler_ != nullptr && bus_ != nullptr)
+  // Replicated mode: marshal straight into the shared pooled SUBMIT_MANY
+  // frame — no per-command encode, no per-command bus round-trip.  Direct
+  // mode sends one-to-one.  The mailbox check keeps the no-wedge contract
+  // under shutdown: a spooled command's transport rejection only surfaces
+  // at flush time, so refuse up front once our own mailbox (closed by
+  // Network::shutdown) is dead.
+  const bool accepted = spooler_ != nullptr
                             ? (!mailbox_->closed() && spooler_->spool(node_, c))
                             : dispatch(c);
   if (!accepted) return std::nullopt;  // rejected dispatch must not pend

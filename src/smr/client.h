@@ -33,19 +33,18 @@ namespace psmr::smr {
 class ClientProxy {
  public:
   /// Replicated-mode proxy: requests go through the atomic multicast bus.
+  /// submit() marshals the command straight into the deployment-shared
+  /// `spooler`'s pooled frame; poll() flushes every spool on entry, before
+  /// it can block on the mailbox (see submit_spooler.h).  Retransmissions
+  /// bypass the spooler (one Bus::multicast each) — a retry is rare and
+  /// latency-bound, not throughput-bound.
   /// `admission`, when set, is consulted before every dispatch — a shed
   /// command never reaches the bus; it fails fast as a kSmrRejected
   /// completion instead (see admission.h).
-  /// `spooler`, when set, pipelines submissions: submit() marshals the
-  /// command straight into the deployment-shared SubmitSpooler's pooled
-  /// frame instead of a per-command Bus::multicast; poll() flushes every
-  /// spool on entry, before it can block on the mailbox (see
-  /// submit_spooler.h).  Retransmissions bypass the spooler — a retry is
-  /// rare and latency-bound, not throughput-bound.
   ClientProxy(transport::Network& net, multicast::Bus& bus,
               std::shared_ptr<const CGFunction> cg, ClientId id,
-              std::shared_ptr<AdmissionController> admission = nullptr,
-              SubmitSpooler* spooler = nullptr);
+              SubmitSpooler& spooler,
+              std::shared_ptr<AdmissionController> admission = nullptr);
 
   /// Direct-mode proxy: requests go one-to-one to `server`.
   ClientProxy(transport::Network& net, transport::NodeId server, ClientId id);
@@ -112,7 +111,7 @@ class ClientProxy {
 
   transport::Network& net_;
   multicast::Bus* bus_ = nullptr;  // null in direct mode
-  SubmitSpooler* spooler_ = nullptr;  // null: per-command dispatch
+  SubmitSpooler* spooler_ = nullptr;  // null in direct mode
   transport::NodeId server_ = transport::kNoNode;
   std::shared_ptr<const CGFunction> cg_;
   std::shared_ptr<AdmissionController> admission_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <tuple>
 
 #include "transport/endpoint.h"
 #include "util/log.h"
@@ -34,7 +35,6 @@ class PsmrReplica::SnapshotServer final : public transport::Endpoint {
 PsmrReplica::PsmrReplica(transport::Network& net, multicast::Bus& bus,
                          std::unique_ptr<Service> service, std::size_t mpl,
                          std::string name, std::size_t run_length,
-                         ResponseCoalescerOptions response_opts,
                          CheckpointOptions checkpoint,
                          const SnapshotFrame* restore)
     : net_(net),
@@ -68,8 +68,7 @@ PsmrReplica::PsmrReplica(transport::Network& net, multicast::Bus& bus,
   }
   auto [id, box] = net.register_node();
   reply_node_ = id;  // send-only identity for responses
-  coalescer_ =
-      std::make_unique<ResponseCoalescer>(net_, reply_node_, response_opts);
+  coalescer_ = std::make_unique<ResponseCoalescer>(net_, reply_node_);
   if (ckpt_opts_.enabled) {
     snapshot_server_ = std::make_unique<SnapshotServer>(net_, *this);
   }
@@ -94,7 +93,7 @@ void PsmrReplica::install_frame(const SnapshotFrame& frame) {
     }
     subs_[i]->restore_merge_state(ws.merge_cursor, std::move(pending));
     for (const auto& d : ws.dedup) {
-      dedup_[i][d.client] = LastExec{d.seq, d.response};
+      dedup_[i][d.stream][d.client] = LastExec{d.seq, d.response};
     }
   }
   executed_.store(frame.executed, std::memory_order_relaxed);
@@ -154,8 +153,9 @@ bool PsmrReplica::trigger_checkpoint() {
 }
 
 bool PsmrReplica::admit(const Command& cmd, std::size_t worker) {
-  auto it = dedup_[worker].find(cmd.client);
-  if (it == dedup_[worker].end() || cmd.seq > it->second.seq) return true;
+  DedupTable& table = dedup_table(worker, cmd);
+  auto it = table.find(cmd.client);
+  if (it == table.end() || cmd.seq > it->second.seq) return true;
   if (cmd.seq == it->second.seq) {
     Response resp;
     resp.client = cmd.client;
@@ -182,7 +182,7 @@ class PsmrReplica::WorkerSink final : public ResponseSink {
 
   void accept(std::size_t index, util::Buffer payload) override {
     const Command& cmd = cmds_[index];
-    auto& last = replica_.dedup_[worker_][cmd.client];
+    auto& last = replica_.dedup_table(worker_, cmd)[cmd.client];
     if (cmd.seq > last.seq) {
       last.seq = cmd.seq;
       last.response = payload;
@@ -207,7 +207,10 @@ void PsmrReplica::execute_run(std::vector<Command>& run, std::size_t worker) {
   // The executed run is the natural flush unit: its replies leave as one
   // frame per destination proxy before the worker blocks on its stream.
   coalescer_->flush_batch();
-  executed_.fetch_add(run.size(), std::memory_order_relaxed);
+  // Release: a reader that sees the count (executed() loads seq_cst) also
+  // sees the service state these commands wrote, e.g. a state_digest()
+  // taken once a workload has quiesced.
+  executed_.fetch_add(run.size(), std::memory_order_release);
   // Periodic checkpoint trigger, counted on worker 0 only (one counter per
   // replica; every replica triggers, and duplicate markers collapse at the
   // barrier when nothing executed in between).
@@ -292,13 +295,16 @@ SnapshotFrame PsmrReplica::build_frame(std::uint64_t executed) const {
           static_cast<std::uint32_t>(d.stream), d.message.to_buffer()});
     }
     // Canonical (sorted) dedup table, so equal tables encode equally.
-    ws.dedup.reserve(dedup_[i].size());
-    for (const auto& [client, last] : dedup_[i]) {
-      ws.dedup.push_back(SnapshotDedupEntry{client, last.seq, last.response});
+    for (std::uint32_t stream = 0; stream < dedup_[i].size(); ++stream) {
+      for (const auto& [client, last] : dedup_[i][stream]) {
+        ws.dedup.push_back(
+            SnapshotDedupEntry{client, stream, last.seq, last.response});
+      }
     }
     std::sort(ws.dedup.begin(), ws.dedup.end(),
               [](const SnapshotDedupEntry& a, const SnapshotDedupEntry& b) {
-                return a.client < b.client;
+                return std::tie(a.client, a.stream) <
+                       std::tie(b.client, b.stream);
               });
   }
   return frame;

@@ -43,6 +43,7 @@
 // replays the suffix through the normal dedup/admit path.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -63,9 +64,9 @@ class PsmrReplica {
  public:
   /// `mpl` worker threads; must equal the C-G function's mpl().
   /// `run_length` bounds the execution batches accumulated per worker
-  /// (1 restores one-command-at-a-time execution).  `response_opts` tunes
-  /// reply coalescing (see response_coalescer.h); the workers share one
-  /// coalescer, so replies from different workers to the same proxy merge.
+  /// (1 restores one-command-at-a-time execution).  The workers share one
+  /// reply coalescer (see response_coalescer.h), so replies from different
+  /// workers to the same proxy merge.
   /// `checkpoint` enables the snapshot/truncation/recovery machinery;
   /// `restore` (optional) boots the replica from a decoded snapshot frame
   /// instead of from scratch — throws std::runtime_error if the frame does
@@ -73,7 +74,6 @@ class PsmrReplica {
   PsmrReplica(transport::Network& net, multicast::Bus& bus,
               std::unique_ptr<Service> service, std::size_t mpl,
               std::string name = "psmr-replica", std::size_t run_length = 16,
-              ResponseCoalescerOptions response_opts = {},
               CheckpointOptions checkpoint = {},
               const SnapshotFrame* restore = nullptr);
   ~PsmrReplica();
@@ -169,13 +169,25 @@ class PsmrReplica {
   std::unique_ptr<ResponseCoalescer> coalescer_;
 
   // Per-worker duplicate suppression: last executed seq and its response per
-  // client.  Deterministic across replicas because each worker's delivery
-  // stream is deterministic and batch members only commute when independent.
+  // (client, stream).  Deterministic across replicas because each worker's
+  // delivery stream is deterministic and batch members only commute when
+  // independent.  Keyed by stream because the merge interleaves a client's
+  // commands on the worker's own ring with those on the shared ring in no
+  // particular seq order; per-ring FIFO from one client makes the per-stream
+  // high-water mark exact.
   struct LastExec {
     Seq seq = 0;
     util::Buffer response;
   };
-  std::vector<std::unordered_map<ClientId, LastExec>> dedup_;
+  using DedupTable = std::unordered_map<ClientId, LastExec>;
+  /// `worker`'s table for the merge stream `cmd` was delivered on: 0 for
+  /// the worker's own ring, 1 for the shared ring (the WorkerSnapshot
+  /// stream order; Bus::multicast routes only non-singleton γ there).
+  DedupTable& dedup_table(std::size_t worker, const Command& cmd) {
+    const bool shared = !cmd.groups.singleton() && bus_.has_shared_ring();
+    return dedup_[worker][shared ? 1 : 0];
+  }
+  std::vector<std::array<DedupTable, 2>> dedup_;  // [worker][stream]
 
   std::atomic<std::uint64_t> executed_{0};
   bool started_ = false;

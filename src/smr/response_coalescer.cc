@@ -7,16 +7,6 @@ namespace psmr::smr {
 
 void ResponseCoalescer::send(transport::NodeId to, const Response& resp) {
   util::Buffer encoded = resp.encode();
-  if (!opts_.enabled) {
-    {
-      std::lock_guard lock(mu_);
-      ++stats_.wire_messages;
-      ++stats_.responses;
-      ++stats_.uncoalesced;
-    }
-    net_.send(from_, to, transport::MsgType::kSmrResponse, std::move(encoded));
-    return;
-  }
   std::unique_lock lock(mu_);
   Bucket& b = buckets_[to];
   if (b.encoded.empty()) b.oldest_us = util::now_us();
@@ -37,7 +27,6 @@ void ResponseCoalescer::send(transport::NodeId to, const Response& resp) {
 }
 
 void ResponseCoalescer::flush_batch() {
-  if (!opts_.enabled) return;
   std::unique_lock lock(mu_);
   if (spooled_ == 0) return;
   flush_locked(lock, FlushReason::kBatch);

@@ -1,13 +1,13 @@
 // Response-side coalescing: the last per-command hot path between service
 // execution and the client.
 //
-// The submit path batches end to end (coordinator batches, SUBMIT_MANY
-// coalescing, batched execution runs), but each reply used to leave the
-// replica as its own kSmrResponse wire message, so per-command send cost
-// dominated the batched execution pipeline.  A ResponseCoalescer spools the
-// marshaled replies a replica's workers produce, bucketed by destination
-// client-proxy node, and flushes each bucket as one kSmrResponseMany frame
-// (see response_batch.h).
+// The submit path batches end to end (client-side SUBMIT_MANY spooling,
+// coordinator batches, batched execution runs), but each reply used to
+// leave the replica as its own kSmrResponse wire message, so per-command
+// send cost dominated the batched execution pipeline.  A ResponseCoalescer
+// spools the marshaled replies a replica's workers produce, bucketed by
+// destination client-proxy node, and flushes each bucket as one
+// kSmrResponseMany frame (see response_batch.h).
 //
 // Flush policy.  The natural flush unit is the CommandBatch a worker just
 // executed: execute_run() calls flush_batch() after the service hands back
@@ -18,12 +18,12 @@
 // (checked lazily on append — there is no timer thread; the bounding flush
 // is always the enclosing batch boundary).
 //
-// Flat combining (same discipline as multicast::SubmitCoalescer): the
-// thread that triggers a flush drains every bucket until the spool is
-// empty, while concurrent workers just append and return — their replies
-// ride in the active flusher's next frame.  Every spooled response is on
-// the wire before the triggering flush_batch() returns or an active
-// flusher's drain loop ends, so nothing can be stranded.
+// Flat combining: the thread that triggers a flush drains every bucket
+// until the spool is empty, while concurrent workers just append and
+// return — their replies ride in the active flusher's next frame.  Every
+// spooled response is on the wire before the triggering flush_batch()
+// returns or an active flusher's drain loop ends, so nothing can be
+// stranded.
 #pragma once
 
 #include <chrono>
@@ -38,9 +38,6 @@
 namespace psmr::smr {
 
 struct ResponseCoalescerOptions {
-  /// Off restores one kSmrResponse wire message per reply (stats are still
-  /// counted, so on/off comparisons read the same record).
-  bool enabled = true;
   /// Per-destination response-count flush cap.
   std::size_t max_responses = 64;
   /// Per-destination byte flush cap (encoded response bytes).
@@ -58,8 +55,7 @@ struct ResponseStats {
   std::uint64_t wire_messages = 0;
   /// Responses those messages carried.
   std::uint64_t responses = 0;
-  // Per-wire-message flush reasons.  When coalescing is enabled these four
-  // partition wire_messages; when disabled every send counts uncoalesced.
+  // Per-wire-message flush reasons; these four partition wire_messages.
   // A cap/age reason is attributed only to the bucket that tripped it; any
   // other buckets the drain loop sweeps in the same pass (including
   // responses spooled concurrently) count under flush_batch.
@@ -67,7 +63,6 @@ struct ResponseStats {
   std::uint64_t flush_bytes = 0;    // byte cap hit
   std::uint64_t flush_timeout = 0;  // oldest spooled response aged out
   std::uint64_t flush_batch = 0;    // batch-boundary flush or drain sweep
-  std::uint64_t uncoalesced = 0;    // sent directly (coalescing disabled)
 
   [[nodiscard]] double mean_responses_per_message() const {
     return wire_messages == 0 ? 0.0
@@ -82,7 +77,6 @@ struct ResponseStats {
     flush_bytes += o.flush_bytes;
     flush_timeout += o.flush_timeout;
     flush_batch += o.flush_batch;
-    uncoalesced += o.uncoalesced;
     return *this;
   }
   ResponseStats operator-(const ResponseStats& o) const {
@@ -93,7 +87,6 @@ struct ResponseStats {
     d.flush_bytes -= o.flush_bytes;
     d.flush_timeout -= o.flush_timeout;
     d.flush_batch -= o.flush_batch;
-    d.uncoalesced -= o.uncoalesced;
     return d;
   }
 };
@@ -109,8 +102,7 @@ class ResponseCoalescer {
   ResponseCoalescer& operator=(const ResponseCoalescer&) = delete;
 
   /// Spools one reply for `resp.client`'s proxy node `to`; flushes that
-  /// bucket when a cap or the age bound trips (or sends directly when
-  /// coalescing is disabled).
+  /// bucket when a cap or the age bound trips.
   void send(transport::NodeId to, const Response& resp);
 
   /// Batch-boundary flush: drains every bucket.  Call after each

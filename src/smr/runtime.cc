@@ -19,11 +19,8 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
   }
   if (cfg_.mode == Mode::kSmr) cfg_.mpl = 1;
   if (cfg_.exec_run_length == 0) cfg_.exec_run_length = 1;
-  ResponseCoalescerOptions response_opts;
-  response_opts.enabled = cfg_.coalesce_responses;
   SchedulerOptions sched_opts;
   sched_opts.run_length = cfg_.exec_run_length;
-  sched_opts.responses = response_opts;
   // Truncation quorum: with checkpointing on, default to "every replica has
   // acked" so the log never drops a prefix some replica still needs.
   if (cfg_.checkpoint.enabled && cfg_.ring.checkpoint_ackers == 0) {
@@ -34,11 +31,8 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
     case Mode::kSmr:
     case Mode::kSpsmr: {
       // Single totally ordered stream.
-      multicast::BusConfig bus_cfg;
-      bus_cfg.num_groups = 1;
-      bus_cfg.ring = cfg_.ring;
-      bus_cfg.coalesce_submits = cfg_.coalesce_submits;
-      bus_ = std::make_unique<multicast::Bus>(net_, bus_cfg);
+      bus_ = std::make_unique<multicast::Bus>(
+          net_, multicast::BusConfig{1, cfg_.ring});
       client_cg_ = cfg_.cg_factory(1);
       for (std::size_t r = 0; r < cfg_.replicas; ++r) {
         if (cfg_.mode == Mode::kSmr) {
@@ -52,11 +46,8 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
       break;
     }
     case Mode::kPsmr: {
-      multicast::BusConfig bus_cfg;
-      bus_cfg.num_groups = cfg_.mpl;
-      bus_cfg.ring = cfg_.ring;
-      bus_cfg.coalesce_submits = cfg_.coalesce_submits;
-      bus_ = std::make_unique<multicast::Bus>(net_, bus_cfg);
+      bus_ = std::make_unique<multicast::Bus>(
+          net_, multicast::BusConfig{cfg_.mpl, cfg_.ring});
       client_cg_ = cfg_.cg_factory(cfg_.mpl);
       for (std::size_t r = 0; r < cfg_.replicas; ++r) {
         psmr_.push_back(build_psmr_replica(r, nullptr));
@@ -83,23 +74,20 @@ Deployment::Deployment(DeploymentConfig cfg) : cfg_(std::move(cfg)) {
     admission_ = std::make_shared<AdmissionController>(
         cfg_.admission, [bus] { return bus->total_stats(); });
   }
-  if (cfg_.pipeline_submits.enabled && bus_) {
-    spooler_ = std::make_unique<SubmitSpooler>(*bus_, cfg_.pipeline_submits);
+  if (bus_) {
+    spooler_ = std::make_unique<SubmitSpooler>(*bus_, SubmitSpoolerOptions{});
   }
 }
 
 std::unique_ptr<PsmrReplica> Deployment::build_psmr_replica(
     std::size_t r, const SnapshotFrame* restore) {
-  ResponseCoalescerOptions response_opts;
-  response_opts.enabled = cfg_.coalesce_responses;
   CheckpointOptions ckpt = cfg_.checkpoint;
   ckpt.replica_id = r;  // stable across restarts: keys the truncation acks
   std::string prefix =
       cfg_.mode == Mode::kSmr ? "smr-replica" : "psmr-replica";
   return std::make_unique<PsmrReplica>(
       net_, *bus_, cfg_.service_factory(), cfg_.mpl,
-      prefix + std::to_string(r), cfg_.exec_run_length, response_opts, ckpt,
-      restore);
+      prefix + std::to_string(r), cfg_.exec_run_length, ckpt, restore);
 }
 
 Deployment::~Deployment() { stop(); }
@@ -216,18 +204,19 @@ bool Deployment::restart_replica(std::size_t i) {
 }
 
 std::unique_ptr<ClientProxy> Deployment::make_client() {
-  ClientId id = next_client_++;
+  const ClientId id = next_client_.fetch_add(1, std::memory_order_relaxed);
   switch (cfg_.mode) {
     case Mode::kSmr:
     case Mode::kSpsmr:
     case Mode::kPsmr:
       return std::make_unique<ClientProxy>(net_, *bus_, client_cg_, id,
-                                           admission_, spooler_.get());
+                                           *spooler_, admission_);
     case Mode::kNoRep:
       return std::make_unique<ClientProxy>(net_, norep_->id(), id);
     case Mode::kLockServer: {
-      auto node = lock_->handler_node(next_handler_);
-      next_handler_ = (next_handler_ + 1) % lock_->num_threads();
+      auto node = lock_->handler_node(
+          next_handler_.fetch_add(1, std::memory_order_relaxed) %
+          lock_->num_threads());
       return std::make_unique<ClientProxy>(net_, node, id);
     }
   }

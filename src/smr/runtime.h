@@ -13,6 +13,7 @@
 // Tests, benches and examples use this instead of hand-wiring.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -50,21 +51,6 @@ struct DeploymentConfig {
   std::size_t replicas = 2;
   /// Ring tuning (batching, skips, retransmission).
   paxos::RingConfig ring;
-  /// Submit-side coalescing on the multicast bus (see
-  /// BusConfig::coalesce_submits).  Ignored by unreplicated modes.
-  bool coalesce_submits = true;
-  /// Response-side coalescing: replica workers spool the replies of an
-  /// execution batch per destination proxy and flush them as one
-  /// kSmrResponseMany frame (see response_coalescer.h).  Off restores one
-  /// wire message per reply.  Ignored by the lock server, whose handlers
-  /// reply inline per command.
-  bool coalesce_responses = true;
-  /// Client-side submit pipelining: client proxies of the replicated modes
-  /// share one SubmitSpooler that marshals submissions straight into pooled
-  /// per-ring SUBMIT_MANY frames and flushes them as bursts (see
-  /// submit_spooler.h).  `pipeline_submits.enabled = false` restores one
-  /// Bus::multicast per command.  Ignored by unreplicated modes.
-  SubmitSpoolerOptions pipeline_submits;
   /// Replica-side execution batching: maximum run of consecutive
   /// independent commands handed to the service as one execute_batch call
   /// (see service.h's batch contract).  1 restores one-command-at-a-time
@@ -107,8 +93,8 @@ class Deployment {
   void start();
   void stop();
 
-  /// Creates a client proxy bound to this deployment (thread-compatible:
-  /// each client belongs to one driver thread).
+  /// Creates a client proxy bound to this deployment.  Safe to call from
+  /// several threads; each returned client belongs to one driver thread.
   std::unique_ptr<ClientProxy> make_client();
 
   [[nodiscard]] Mode mode() const { return cfg_.mode; }
@@ -135,11 +121,11 @@ class Deployment {
   /// Aggregate response_stats over every replica.
   [[nodiscard]] ResponseStats response_stats() const;
 
-  /// Submit-pipelining counters of the shared spooler (zeros when
-  /// pipelining is disabled or the mode is unreplicated).
+  /// Submit-pipelining counters of the shared spooler (zeros when the
+  /// mode is unreplicated).
   [[nodiscard]] SpoolStats spool_stats() const;
-  /// The shared spooler (nullptr when pipelining is disabled or the mode is
-  /// unreplicated).
+  /// The shared spooler every client proxy submits through (nullptr when
+  /// the mode is unreplicated).
   [[nodiscard]] SubmitSpooler* spooler() { return spooler_.get(); }
 
   /// Admission counters (zeros when admission is disabled or the mode is
@@ -216,8 +202,10 @@ class Deployment {
   std::unique_ptr<LockServer> lock_;
   std::shared_ptr<Service> lock_service_;
 
-  ClientId next_client_ = 1;
-  std::size_t next_handler_ = 0;
+  // Atomic: driver threads create their clients concurrently, and two
+  // clients sharing an id would dedup each other's commands away.
+  std::atomic<ClientId> next_client_{1};
+  std::atomic<std::size_t> next_handler_{0};
   bool started_ = false;
 };
 

@@ -52,8 +52,9 @@ SchedulerCore::SchedulerCore(transport::Network& net,
   }
   auto [id, box] = net.register_node();
   reply_node_ = id;
-  coalescer_ =
-      std::make_unique<ResponseCoalescer>(net_, reply_node_, opts_.responses);
+  // Shared by all workers, so replies from different workers to the same
+  // proxy merge into one frame.
+  coalescer_ = std::make_unique<ResponseCoalescer>(net_, reply_node_);
 }
 
 SchedulerCore::~SchedulerCore() { stop(); }
@@ -128,7 +129,10 @@ void SchedulerCore::execute_run(std::vector<Command>& run) {
   // Batch boundary: the run's replies go on the wire before this worker
   // reports idle, so drain() never completes with responses still spooled.
   coalescer_->flush_batch();
-  executed_.fetch_add(run.size(), std::memory_order_relaxed);
+  // Release: a reader that sees the count (executed() loads seq_cst) also
+  // sees the service state these commands wrote, e.g. a state_digest()
+  // taken once a workload has quiesced.
+  executed_.fetch_add(run.size(), std::memory_order_release);
   {
     std::lock_guard lock(idle_mu_);
     in_flight_ -= static_cast<std::int64_t>(run.size());

@@ -50,9 +50,6 @@ struct SchedulerOptions {
   /// in practice: proxies retransmit within their response timeout, orders
   /// of magnitude sooner than any realistic window.
   std::uint64_t dedup_idle_window = 1 << 16;
-  /// Reply coalescing (see response_coalescer.h); shared by all workers, so
-  /// replies from different workers to the same proxy merge into one frame.
-  ResponseCoalescerOptions responses;
 };
 
 class SchedulerCore {

@@ -1,5 +1,7 @@
 #include "smr/snapshot.h"
 
+#include <tuple>
+
 #include "util/hash.h"
 
 namespace psmr::smr {
@@ -7,7 +9,8 @@ namespace psmr::smr {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50534E50;  // "PSNP"
-constexpr std::uint32_t kVersion = 1;
+// Version 2: dedup entries carry their merge stream.
+constexpr std::uint32_t kVersion = 2;
 // Hard caps: far above any real deployment (k <= 63 groups), low enough
 // that a corrupt count cannot drive allocation into the gigabytes before
 // the per-entry bounds checks fire.
@@ -36,6 +39,7 @@ util::Buffer encode_snapshot(const SnapshotFrame& frame) {
     w.u32(static_cast<std::uint32_t>(worker.dedup.size()));
     for (const auto& d : worker.dedup) {
       w.u64(d.client);
+      w.u32(d.stream);
       w.u64(d.seq);
       w.bytes(d.response);
     }
@@ -89,20 +93,26 @@ std::optional<SnapshotFrame> decode_snapshot(
         worker.pending.push_back(std::move(p));
       }
       std::uint32_t num_dedup = r.u32();
-      // Every dedup entry occupies at least 20 bytes.
+      // Every dedup entry occupies at least 24 bytes (client + stream + seq
+      // + response length).
       if (num_dedup > kMaxEntries ||
-          std::size_t{num_dedup} * 20 > r.remaining()) {
+          std::size_t{num_dedup} * 24 > r.remaining()) {
         return std::nullopt;
       }
       worker.dedup.reserve(num_dedup);
       for (std::uint32_t i = 0; i < num_dedup; ++i) {
         SnapshotDedupEntry d;
         d.client = r.u64();
+        d.stream = r.u32();
+        if (d.stream >= num_streams) return std::nullopt;
         d.seq = r.u64();
         d.response = r.bytes();
-        // Canonical form: strictly increasing clients, or equal tables
-        // would not encode to equal frames.
-        if (!worker.dedup.empty() && d.client <= worker.dedup.back().client) {
+        // Canonical form: strictly increasing (client, stream), or equal
+        // tables would not encode to equal frames.
+        if (!worker.dedup.empty() &&
+            std::tie(d.client, d.stream) <=
+                std::tie(worker.dedup.back().client,
+                         worker.dedup.back().stream)) {
           return std::nullopt;
         }
         worker.dedup.push_back(std::move(d));

@@ -44,9 +44,11 @@ struct CheckpointOptions {
   std::uint64_t replica_id = 0;
 };
 
-/// One client's dedup entry: highest executed seq and its cached response.
+/// One client's dedup entry on one merge stream (0: the worker's own ring,
+/// 1: the shared ring): highest executed seq and its cached response.
 struct SnapshotDedupEntry {
   ClientId client = 0;
+  std::uint32_t stream = 0;
   Seq seq = 0;
   util::Buffer response;
 };
@@ -66,8 +68,8 @@ struct WorkerSnapshot {
   std::vector<paxos::Instance> positions;
   std::uint64_t merge_cursor = 0;
   std::vector<SnapshotPending> pending;
-  /// Sorted by client (strictly increasing) — canonical form, so equal
-  /// tables encode to equal bytes.
+  /// Sorted by (client, stream), strictly increasing — canonical form, so
+  /// equal tables encode to equal bytes.
   std::vector<SnapshotDedupEntry> dedup;
 };
 

@@ -37,13 +37,10 @@ bool SubmitSpooler::spool(transport::NodeId from, const Command& c) {
   return true;
 }
 
-void SubmitSpooler::flush_all(transport::NodeId from, bool poll_entry) {
+void SubmitSpooler::flush_all(transport::NodeId from) {
   std::lock_guard lock(mu_);
   for (std::size_t ring = 0; ring < spools_.size(); ++ring) {
-    if (spools_[ring].count > 0) {
-      flush_locked(ring, from,
-                   poll_entry ? FlushReason::kPoll : FlushReason::kBytes);
-    }
+    if (spools_[ring].count > 0) flush_locked(ring, from, FlushReason::kPoll);
   }
 }
 

@@ -1,14 +1,12 @@
 // Client-side submit pipelining: the submit-path mirror of the reply-side
-// ResponseCoalescer.
+// ResponseCoalescer, and the only place submissions are batched before the
+// ring coordinator cuts consensus batches.
 //
-// Without it, every ClientProxy::submit marshals its command into a fresh
-// buffer and runs the full per-command Bus::multicast → SubmitCoalescer
-// lock round-trip — one wire message and one coalescer critical section per
-// command.  The spooler instead keeps one open pooled SUBMIT_MANY frame per
-// destination ring; submit() marshals the command *straight into that
-// frame* (util::PayloadWriter, no intermediate Buffer) under one short
-// critical section and returns.  A spool flushes as a single pre-encoded
-// burst — one Bus::submit_encoded call, one wire message — when:
+// The spooler keeps one open pooled SUBMIT_MANY frame per destination ring;
+// ClientProxy::submit marshals the command *straight into that frame*
+// (util::PayloadWriter, no intermediate Buffer) under one short critical
+// section and returns.  A spool flushes as a single pre-encoded burst — one
+// Bus::submit_encoded call, one wire message — when:
 //
 //   * it reaches max_commands or max_bytes (bounded burst size), or
 //   * any client enters poll() (flush-before-wait: a client about to block
@@ -16,12 +14,12 @@
 //     so nothing it — or anyone else — is waiting on can be stranded), or
 //   * flush_all() is called explicitly (benches, shutdown).
 //
-// There is no timer thread, exactly like the ResponseCoalescer and the
-// SubmitCoalescer: a client that awaits a reply always polls, and the poll
-// entry is the flush trigger.  Ordering is preserved where it matters —
-// commands of one client to one ring stay FIFO within and across frames,
-// and same-key commands of a client map to the same ring by construction
-// (the C-G function is deterministic on keys).
+// There is no timer thread, exactly like the ResponseCoalescer: a client
+// that awaits a reply always polls, and the poll entry is the flush
+// trigger.  Ordering is preserved where it matters — commands of one client
+// to one ring stay FIFO within and across frames, and same-key commands of
+// a client map to the same ring by construction (the C-G function is
+// deterministic on keys).
 //
 // The wire format is the unchanged kPaxosSubmitMany frame: u32 count +
 // count × length-prefixed commands; the count is patched into the frame's
@@ -38,9 +36,6 @@
 namespace psmr::smr {
 
 struct SubmitSpoolerOptions {
-  /// Disables spooling entirely (ClientProxy falls back to per-command
-  /// Bus::multicast through the SubmitCoalescer).
-  bool enabled = true;
   /// Flush a ring's spool once it holds this many commands.
   std::size_t max_commands = 64;
   /// ... or once its frame reaches this many bytes.  Kept a few batches
@@ -60,8 +55,7 @@ struct SpoolStats {
   std::uint64_t flush_on_bytes = 0;
   std::uint64_t flush_on_poll = 0;
   /// Commands in flushes the transport rejected (shutdown/disconnect);
-  /// recovered end-to-end by client retransmission, same contract as
-  /// SubmitCoalescer::Stats::failed_flush_commands.
+  /// recovered end-to-end by client retransmission.
   std::uint64_t failed_flush_commands = 0;
 
   [[nodiscard]] double mean_commands_per_flush() const {
@@ -100,9 +94,9 @@ class SubmitSpooler {
   /// fire-and-forget submit contract.
   bool spool(transport::NodeId from, const Command& c);
 
-  /// Flushes every non-empty spool (poll-entry / explicit trigger).
-  /// `poll_entry` only attributes the flush reason in stats.
-  void flush_all(transport::NodeId from, bool poll_entry = true);
+  /// Flushes every non-empty spool (poll-entry / explicit trigger; counted
+  /// as flush_on_poll).
+  void flush_all(transport::NodeId from);
 
   [[nodiscard]] SpoolStats stats() const {
     std::lock_guard lock(mu_);

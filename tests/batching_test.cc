@@ -1,20 +1,17 @@
 // Batching-focused unit suite: seal triggers (byte cap, command cap,
 // timeout), the adaptive-timeout controller's grow/shrink behavior and
-// bounds, SUBMIT_MANY wire coalescing, and the Bus submit coalescer.
+// bounds, and the coordinator's handling of pre-encoded SUBMIT_MANY frames.
 //
-// Everything here asserts on CoordinatorStats / SubmitCoalescer::Stats
-// rather than throughput, so the tests stay meaningful on a loaded host.
+// Everything here asserts on CoordinatorStats rather than throughput, so
+// the tests stay meaningful on a loaded host.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <thread>
 
-#include "multicast/amcast.h"
 #include "paxos/ring.h"
 #include "test_support.h"
 #include "transport/network.h"
-#include "util/sync.h"
+#include "util/buffer_pool.h"
 
 namespace psmr::paxos {
 namespace {
@@ -235,6 +232,15 @@ TEST(AdaptiveBatching, StartingTimeoutClampedIntoBounds) {
   EXPECT_EQ(ring.stats().batch_timeout_us, 300u);
 }
 
+/// A SUBMIT_MANY frame as the submit spooler lays it out: u32 count, then
+/// each command length-prefixed.
+util::Payload encoded_burst(std::uint64_t first, std::uint64_t count) {
+  util::PayloadWriter w(4 + count * 12);
+  w.u32(static_cast<std::uint32_t>(count));
+  for (std::uint64_t i = first; i < first + count; ++i) w.bytes(cmd(i));
+  return w.take();
+}
+
 TEST(SubmitMany, BurstArrivesInOneMessage) {
   Network net;
   Ring ring(net, 0, quiet_ring());
@@ -242,9 +248,7 @@ TEST(SubmitMany, BurstArrivesInOneMessage) {
   ring.start();
   auto [me, mybox] = net.register_node();
 
-  std::vector<util::Payload> burst;
-  for (std::uint64_t i = 0; i < 10; ++i) burst.push_back(cmd(i));
-  ASSERT_TRUE(ring.submit_many(me, std::move(burst)));
+  ASSERT_TRUE(ring.submit_encoded(me, encoded_burst(0, 10), 10));
   drain_ordered(*learner, 10);
 
   auto s = ring.stats();
@@ -253,16 +257,16 @@ TEST(SubmitMany, BurstArrivesInOneMessage) {
 }
 
 TEST(SubmitMany, SingleCommandFallsBackToPlainSubmit) {
+  // A one-command frame is booked like a plain submit (one message, one
+  // command), and an empty burst sends nothing at all.
   Network net;
   Ring ring(net, 0, quiet_ring());
   auto learner = ring.subscribe();
   ring.start();
   auto [me, mybox] = net.register_node();
 
-  std::vector<util::Payload> one;
-  one.push_back(cmd(0));
-  ASSERT_TRUE(ring.submit_many(me, std::move(one)));
-  EXPECT_TRUE(ring.submit_many(me, {}));  // empty burst is a no-op
+  ASSERT_TRUE(ring.submit_encoded(me, encoded_burst(0, 1), 1));
+  EXPECT_TRUE(ring.submit_encoded(me, encoded_burst(1, 0), 0));
   drain_ordered(*learner, 1);
 
   auto s = ring.stats();
@@ -279,9 +283,7 @@ TEST(SubmitMany, BurstRespectsBatchCapsMidMessage) {
   ring.start();
   auto [me, mybox] = net.register_node();
 
-  std::vector<util::Payload> burst;
-  for (std::uint64_t i = 0; i < 10; ++i) burst.push_back(cmd(i));
-  ASSERT_TRUE(ring.submit_many(me, std::move(burst)));
+  ASSERT_TRUE(ring.submit_encoded(me, encoded_burst(0, 10), 10));
   drain_ordered(*learner, 10);
 
   auto s = ring.stats();
@@ -293,131 +295,3 @@ TEST(SubmitMany, BurstRespectsBatchCapsMidMessage) {
 
 }  // namespace
 }  // namespace psmr::paxos
-
-namespace psmr::multicast {
-namespace {
-
-using transport::Network;
-
-util::Buffer msg(std::uint64_t id) {
-  util::Writer w;
-  w.u64(id);
-  return w.take();
-}
-
-TEST(Coalescer, SingleThreadFlushesEverySubmit) {
-  Network net;
-  BusConfig cfg;
-  cfg.num_groups = 1;
-  cfg.ring.batch_timeout = std::chrono::microseconds(200);
-  Bus bus(net, cfg);
-  auto sub = bus.subscribe(0);
-  bus.start();
-  auto [me, mybox] = net.register_node();
-
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    ASSERT_TRUE(bus.multicast(me, GroupSet::single(0), msg(i)));
-  }
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    auto d = sub->next();
-    ASSERT_TRUE(d.has_value());
-  }
-
-  // With no contention every submit flushes itself: nothing piggybacks.
-  auto cs = bus.coalesce_stats();
-  EXPECT_EQ(cs.flushes, 20u);
-  EXPECT_EQ(cs.flushed_commands, 20u);
-  EXPECT_EQ(cs.piggybacked, 0u);
-}
-
-TEST(Coalescer, DisabledBusSubmitsDirectly) {
-  Network net;
-  BusConfig cfg;
-  cfg.num_groups = 1;
-  cfg.coalesce_submits = false;
-  cfg.ring.batch_timeout = std::chrono::microseconds(200);
-  Bus bus(net, cfg);
-  auto sub = bus.subscribe(0);
-  bus.start();
-  auto [me, mybox] = net.register_node();
-
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(bus.multicast(me, GroupSet::single(0), msg(i)));
-  }
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    auto d = sub->next();
-    ASSERT_TRUE(d.has_value());
-  }
-  auto cs = bus.coalesce_stats();
-  EXPECT_EQ(cs.flushes, 0u);
-  EXPECT_EQ(cs.flushed_commands, 0u);
-}
-
-TEST(Coalescer, ConcurrentSharedRingSubmitsPiggyback) {
-  // Deterministic rendezvous instead of timing: thread A's submit to the
-  // shared g_all ring becomes the active flusher; the flush-pause hook
-  // (which runs while A holds flushing_ but not the lock) wakes the main
-  // thread, whose submit must take the piggyback path; only then is A
-  // released to drain the piggybacked command in a second flush wave.
-  // This pins the exact interleaving the flat-combining funnel exists for,
-  // on any host, in one round.
-  Network net;
-  BusConfig cfg;
-  cfg.num_groups = 2;
-  cfg.ring.batch_timeout = std::chrono::microseconds(200);
-  cfg.ring.skip_interval = std::chrono::microseconds(500);
-  Bus bus(net, cfg);
-  auto sub = bus.subscribe(0);
-  bus.start();
-  auto* coalescer = bus.shared_coalescer();
-  ASSERT_NE(coalescer, nullptr);
-
-  util::Signal flusher_paused;
-  util::Signal piggyback_done;
-  std::atomic<int> waves{0};
-  coalescer->set_flush_pause([&] {
-    // Pause only the first wave; the drain wave for the piggybacked
-    // command must run through.
-    if (waves.fetch_add(1) == 0) {
-      flusher_paused.notify();
-      piggyback_done.wait();
-    }
-  });
-
-  auto [a_node, a_box] = net.register_node();
-  std::thread flusher([&] {
-    EXPECT_TRUE(bus.multicast(a_node, GroupSet::all(2), msg(1)));
-  });
-  // Bounded wait so a broken flusher fails the test instead of deadlocking
-  // it against the suite timeout.
-  if (!flusher_paused.wait_for(std::chrono::seconds(5))) {
-    piggyback_done.notify();  // unblock the hook if it fires late
-    flusher.join();
-    FAIL() << "flusher never reached the flush-pause rendezvous";
-  }
-  // The flusher is parked mid-flush: this submit piggybacks by construction.
-  auto [b_node, b_box] = net.register_node();
-  ASSERT_TRUE(bus.multicast(b_node, GroupSet::all(2), msg(2)));
-  EXPECT_EQ(coalescer->stats().piggybacked, 1u);
-  piggyback_done.notify();
-  flusher.join();
-  coalescer->set_flush_pause({});
-
-  // Both commands reach every subscriber of the shared ring.
-  for (int i = 0; i < 2; ++i) {
-    auto d = sub->next();
-    ASSERT_TRUE(d.has_value());
-  }
-
-  auto cs = bus.coalesce_stats();
-  EXPECT_EQ(cs.piggybacked, 1u);
-  EXPECT_EQ(cs.flushed_commands, 2u);
-  // Both wire messages came from the flusher thread — the piggybacked
-  // submit returned without ever touching the ring.
-  EXPECT_EQ(cs.flushes, 2u);
-  auto shared = bus.shared_ring_stats();
-  EXPECT_EQ(shared.submit_commands, 2u);
-}
-
-}  // namespace
-}  // namespace psmr::multicast

@@ -481,29 +481,24 @@ TEST(SubmitSpooler, RejectedFlushIsCountedAndReported) {
 }
 
 TEST(SubmitSpooler, DeploymentPipelinesAndConverges) {
-  // End-to-end: the default deployment wires the spooler in, the disjoint
-  // workload converges to identical replica digests, and every spooled
-  // command was flushed (poll-entry leaves nothing stranded).
-  auto cfg = test_support::kv_config(Mode::kPsmr, 2, /*initial_keys=*/400);
-  ASSERT_TRUE(cfg.pipeline_submits.enabled);
-  test_support::Cluster cluster(std::move(cfg));
-  test_support::run_disjoint_kv_workload(*cluster, /*clients=*/4,
-                                         /*ops=*/150);
-  SpoolStats s = cluster->spool_stats();
-  EXPECT_GT(s.spooled_commands, 0u);
-  EXPECT_EQ(s.flushed_commands + s.failed_flush_commands,
-            s.spooled_commands);
-  EXPECT_GT(s.mean_commands_per_flush(), 1.0)
-      << "pipelining never grouped two commands into one burst";
-}
-
-TEST(SubmitSpooler, DisabledSpoolingStillConverges) {
-  auto cfg = test_support::kv_config(Mode::kPsmr, 2, /*initial_keys=*/400);
-  cfg.pipeline_submits.enabled = false;
-  test_support::Cluster cluster(std::move(cfg));
-  test_support::run_disjoint_kv_workload(*cluster, /*clients=*/2,
-                                         /*ops=*/100);
-  EXPECT_EQ(cluster->spool_stats().spooled_commands, 0u);
+  // End-to-end, once per replicated mode: the deployment always wires the
+  // spooler in, the disjoint workload converges to identical replica
+  // digests, and every spooled command was flushed or counted as failed
+  // (poll-entry leaves nothing stranded).
+  for (Mode mode : {Mode::kSmr, Mode::kSpsmr, Mode::kPsmr}) {
+    SCOPED_TRACE(mode_name(mode));
+    test_support::Cluster cluster(
+        test_support::kv_config(mode, 2, /*initial_keys=*/400));
+    ASSERT_NE(cluster->spooler(), nullptr);
+    test_support::run_disjoint_kv_workload(*cluster, /*clients=*/4,
+                                           /*ops=*/150);
+    SpoolStats s = cluster->spool_stats();
+    EXPECT_GT(s.spooled_commands, 0u);
+    EXPECT_EQ(s.flushed_commands + s.failed_flush_commands,
+              s.spooled_commands);
+    EXPECT_GT(s.mean_commands_per_flush(), 1.0)
+        << "pipelining never grouped two commands into one burst";
+  }
 }
 
 }  // namespace

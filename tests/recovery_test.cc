@@ -33,10 +33,12 @@ SnapshotFrame make_frame() {
   f.workers[0].positions = {17, 42};
   f.workers[0].merge_cursor = 1;
   f.workers[0].pending = {{0, {1, 2, 3}}, {1, {9}}};
-  f.workers[0].dedup = {{5, 7, {0xaa}}, {9, 2, {}}};
+  // (client, stream, seq, response): client 5 has an entry on both its
+  // worker ring (stream 0) and the shared ring (stream 1).
+  f.workers[0].dedup = {{5, 0, 7, {0xaa}}, {5, 1, 3, {0xab}}, {9, 1, 2, {}}};
   f.workers[1].positions = {3, 42};
   f.workers[1].merge_cursor = 0;
-  f.workers[1].dedup = {{6, 1, {0xbb, 0xcc}}};
+  f.workers[1].dedup = {{6, 0, 1, {0xbb, 0xcc}}};
   f.service_state = {10, 20, 30, 40, 50};
   return f;
 }
@@ -64,6 +66,8 @@ TEST(SnapshotCodec, RoundTrips) {
     for (std::size_t i = 0; i < in.workers[w].dedup.size(); ++i) {
       EXPECT_EQ(out->workers[w].dedup[i].client,
                 in.workers[w].dedup[i].client);
+      EXPECT_EQ(out->workers[w].dedup[i].stream,
+                in.workers[w].dedup[i].stream);
       EXPECT_EQ(out->workers[w].dedup[i].seq, in.workers[w].dedup[i].seq);
       EXPECT_EQ(out->workers[w].dedup[i].response,
                 in.workers[w].dedup[i].response);
@@ -119,17 +123,37 @@ TEST(SnapshotCodec, HostileCountsWithValidDigestReject) {
   // it has to reject before any allocation runs away.
   util::Writer w;
   w.u32(0x50534E50);  // magic
-  w.u32(1);           // version
+  w.u32(2);           // version
   w.u64(0);           // executed
   w.u64(0);           // service digest
   w.u32(1u << 30);    // hostile worker count
   w.u64(util::fnv1a(w.view()));
   EXPECT_FALSE(decode_snapshot(w.view()).has_value());
 
-  // Dedup entries must arrive sorted by client (canonical form).
+  // Dedup entries must arrive strictly increasing in (client, stream)
+  // (canonical form): unsorted clients, unsorted streams of one client and
+  // a repeated (client, stream) key all reject.
   SnapshotFrame dup = make_frame();
-  dup.workers[0].dedup = {{9, 1, {}}, {5, 1, {}}};
+  dup.workers[0].dedup = {{9, 0, 1, {}}, {5, 0, 1, {}}};
   EXPECT_FALSE(decode_snapshot(encode_snapshot(dup)).has_value());
+  dup.workers[0].dedup = {{5, 1, 1, {}}, {5, 0, 1, {}}};
+  EXPECT_FALSE(decode_snapshot(encode_snapshot(dup)).has_value());
+  dup.workers[0].dedup = {{5, 0, 1, {}}, {5, 0, 2, {}}};
+  EXPECT_FALSE(decode_snapshot(encode_snapshot(dup)).has_value());
+
+  // A dedup entry naming a stream the worker does not have is corrupt.
+  SnapshotFrame stray_dedup = make_frame();
+  stray_dedup.workers[1].dedup = {{6, 2, 1, {}}};
+  EXPECT_FALSE(decode_snapshot(encode_snapshot(stray_dedup)).has_value());
+
+  // A frame of the previous layout (version 1) is refused outright.
+  auto old = encode_snapshot(make_frame());
+  old[4] = 1;
+  util::Buffer body(old.begin(), old.end() - 8);
+  util::Writer rehashed;
+  rehashed.raw(body);
+  rehashed.u64(util::fnv1a(body));
+  EXPECT_FALSE(decode_snapshot(rehashed.view()).has_value());
 
   // A pending entry naming a stream the worker does not have is corrupt.
   SnapshotFrame stray = make_frame();

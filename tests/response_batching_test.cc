@@ -297,23 +297,6 @@ TEST(ResponseCoalescer, BucketsPerDestination) {
   EXPECT_EQ(stats.responses, 3u);
 }
 
-TEST(ResponseCoalescer, DisabledModeSendsEachReplyDirectly) {
-  ResponseCoalescerOptions opts;
-  opts.enabled = false;
-  CoalescerRig rig(opts);
-  for (Seq s = 1; s <= 3; ++s) {
-    rig.coalescer->send(rig.receiver, make_response(1, s, 0x88));
-    auto msg = rig.pop();
-    EXPECT_EQ(msg.type, transport::MsgType::kSmrResponse);
-  }
-  rig.coalescer->flush_batch();  // no-op
-  auto stats = rig.coalescer->stats();
-  EXPECT_EQ(stats.wire_messages, 3u);
-  EXPECT_EQ(stats.responses, 3u);
-  EXPECT_EQ(stats.uncoalesced, 3u);
-  EXPECT_EQ(stats.flush_batch, 0u);
-}
-
 TEST(ResponseCoalescer, FlushPauseRendezvousCarriesConcurrentSpool) {
   // Deterministic reproduction of the flat-combining piggyback: the pause
   // hook runs after the first wire send with the lock released — exactly
@@ -451,54 +434,36 @@ TEST(ProxyDemux, MixedKnownAndUnknownSeqsCompleteOnlyKnown) {
   EXPECT_FALSE(rig.proxy->poll(50ms).has_value());
 }
 
-// --- End-to-end: coalescing on vs off on both replica modes --------------
+// --- End-to-end: coalesced replies on both replica modes -----------------
 
 class ResponseConvergence : public ::testing::TestWithParam<Mode> {};
 
-TEST_P(ResponseConvergence, CoalescedAndUncoalescedRepliesConverge) {
-  const Mode mode = GetParam();
+TEST_P(ResponseConvergence, CoalescedRepliesConverge) {
   constexpr int kClients = 3;
   constexpr int kOps = 120;
-  const std::uint64_t keys = kClients * 100;
-
-  auto run_with = [&](bool coalesce, ResponseStats* stats) {
-    auto cfg = test_support::kv_config(mode, /*mpl=*/2, keys);
-    cfg.coalesce_responses = coalesce;
-    test_support::Cluster cluster(std::move(cfg));
-    std::uint64_t digest = test_support::run_disjoint_kv_workload(
-        cluster.deployment(), kClients, kOps);
-    *stats = cluster->response_stats();
-    return digest;
-  };
-
-  ResponseStats coalesced;
-  ResponseStats uncoalesced;
-  std::uint64_t digest_on = run_with(true, &coalesced);
-  std::uint64_t digest_off = run_with(false, &uncoalesced);
-
-  // Reply batching is invisible to the service: identical state either way.
-  EXPECT_EQ(digest_on, digest_off);
+  auto cfg = test_support::kv_config(GetParam(), /*mpl=*/2,
+                                     /*initial_keys=*/kClients * 100);
+  test_support::Cluster cluster(std::move(cfg));
+  // Reply batching is invisible to the service: run_disjoint_kv_workload
+  // checks that every replica ends with the same state digest.
+  test_support::run_disjoint_kv_workload(cluster.deployment(), kClients,
+                                         kOps);
+  const ResponseStats stats = cluster->response_stats();
 
   // Every executed command's reply went through the counters: both replicas
   // reply to every command they execute.
   const auto total = static_cast<std::uint64_t>(kClients * kOps);
-  EXPECT_GE(coalesced.responses, 2 * total);
-  EXPECT_GE(uncoalesced.responses, 2 * total);
+  EXPECT_GE(stats.responses, 2 * total);
 
-  // Coalescing off: exactly one wire message per reply, all uncoalesced.
-  EXPECT_EQ(uncoalesced.wire_messages, uncoalesced.responses);
-  EXPECT_EQ(uncoalesced.uncoalesced, uncoalesced.wire_messages);
-
-  // Coalescing on: batch-boundary flushes happened, the reason counters
-  // partition the wire messages, and — with 3 clients pipelining 32-deep
-  // onto 2 workers — at least some frame carried more than one reply.
-  EXPECT_EQ(coalesced.uncoalesced, 0u);
-  EXPECT_GT(coalesced.flush_batch, 0u);
-  EXPECT_EQ(coalesced.flush_batch + coalesced.flush_size +
-                coalesced.flush_bytes + coalesced.flush_timeout,
-            coalesced.wire_messages);
-  EXPECT_LT(coalesced.wire_messages, coalesced.responses);
-  EXPECT_GT(coalesced.mean_responses_per_message(), 1.0);
+  // Batch-boundary flushes happened, the reason counters partition the
+  // wire messages, and — with 3 clients pipelining 32-deep onto 2 workers
+  // — at least some frame carried more than one reply.
+  EXPECT_GT(stats.flush_batch, 0u);
+  EXPECT_EQ(stats.flush_batch + stats.flush_size + stats.flush_bytes +
+                stats.flush_timeout,
+            stats.wire_messages);
+  EXPECT_LT(stats.wire_messages, stats.responses);
+  EXPECT_GT(stats.mean_responses_per_message(), 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ResponseConvergence,

@@ -3,6 +3,8 @@
 // dependent-command serialization, first-response semantics, failover.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
 #include <thread>
 
 #include "kvstore/kv_client.h"
@@ -161,6 +163,55 @@ TEST(Psmr, WindowedPipelineCompletesEverything) {
     ++completed;
   }
   EXPECT_EQ(proxy->outstanding(), 0u);
+  d.stop();
+}
+
+TEST(Psmr, WindowedPipelineWithSharedRingCommandsCompletesEverything) {
+  // One client, a 50-deep window, ~10% inserts/deletes: those are global
+  // commands, ordered on the shared g_all ring, while the reads travel the
+  // worker rings.  The merge can deliver an older shared-ring command after
+  // a newer worker-ring command of the same client, so a per-client dedup
+  // high-water mark would drop the older one as a stale duplicate and never
+  // answer it.  Every command must be answered exactly once.
+  Deployment d(kv_config(Mode::kPsmr, 4, /*initial_keys=*/1024));
+  d.start();
+  auto proxy = d.make_client();
+  util::SplitMix64 rng(test_support::logged_seed(7));
+  constexpr int kTotal = 3000;
+  constexpr std::size_t kWindow = 50;
+  std::uint64_t inserted = 0;
+  std::uint64_t deleted = 0;
+  int submitted = 0;
+  int completed = 0;
+  std::set<Seq> seen;
+  while (completed < kTotal) {
+    while (submitted < kTotal && proxy->outstanding() < kWindow) {
+      const std::uint64_t roll = rng.next_below(100);
+      std::optional<Seq> seq;
+      if (roll < 5) {
+        seq = proxy->submit(kvstore::kKvInsert,
+                            kvstore::encode_key_value(10'000 + inserted++, 1));
+      } else if (roll < 10 && deleted < inserted) {
+        seq = proxy->submit(kvstore::kKvDelete,
+                            kvstore::encode_key(10'000 + deleted++));
+      } else {
+        seq = proxy->submit(kvstore::kKvRead,
+                            kvstore::encode_key(rng.next_below(1024)));
+      }
+      ASSERT_TRUE(seq.has_value());
+      ++submitted;
+    }
+    auto done = proxy->poll(std::chrono::seconds(3));
+    ASSERT_TRUE(done.has_value())
+        << proxy->outstanding() << " commands never answered after "
+        << completed << " completions";
+    EXPECT_TRUE(seen.insert(done->seq).second) << "duplicate completion";
+    ++completed;
+  }
+  EXPECT_EQ(proxy->outstanding(), 0u);
+  EXPECT_GT(inserted, 0u);
+  wait_executed(d, kTotal);
+  EXPECT_EQ(d.state_digest(0), d.state_digest(1));
   d.stop();
 }
 
